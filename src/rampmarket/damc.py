@@ -275,23 +275,22 @@ def build_damc(instance, isf, d_hat, req=None, suc_solution=None, variant=PROPOS
 
 
 def solve_and_price(model, gap=milp.DEFAULT_GAP, time_limit=None):
-    """Solve the clearing MILP, then run the pricing pass for duals."""
-    sol = milp.solve(model.builder, gap=gap, time_limit=time_limit)
+    """Solve the clearing MILP, then run the pricing pass for duals.
+
+    Both solves share one assembly of the builder.
+    """
+    lp = model.builder.assemble()
+    sol = milp.solve(lp, gap=gap, time_limit=time_limit)
     if not sol.optimal:
         raise milp.BackendError(f"clearing solve ended {sol.status}")
-    marked = list(model.lmp_handles.ravel())
-    if model.frp_up_handles is not None:
-        marked += list(model.frp_up_handles) + list(model.frp_dn_handles)
-    _, duals = milp.fix_and_relax_duals(
-        model.builder, sol, marked, rel_tol=max(1e-5, 10 * gap))
+    _, duals = milp.fix_and_relax_duals(lp, sol, rel_tol=max(1e-5, 10 * gap))
 
     x = sol.x
     gcount = model.u_idx.shape[0]
-    ncount = model.pc_idx.shape[0]
-    lmp = np.array([[duals[int(h)] for h in row] for row in model.lmp_handles])
+    lmp = duals[model.lmp_handles]
     if model.frp_up_handles is not None:
-        price_up = np.array([duals[int(h)] for h in model.frp_up_handles])
-        price_dn = np.array([duals[int(h)] for h in model.frp_dn_handles])
+        price_up = duals[model.frp_up_handles]
+        price_dn = duals[model.frp_dn_handles]
         r_up = x[model.r_up_idx]
         r_dn = x[model.r_dn_idx]
         sh_up = x[model.sh_up_idx]

@@ -1,10 +1,15 @@
-"""Thin solver-agnostic layer over scipy's HiGHS interface.
+"""Thin solver-agnostic layer over the HiGHS solvers that scipy ships.
 
-ModelBuilder accumulates variables and sparse linear constraints; solve()
-hands the model to scipy.optimize.milp, and fix_and_relax_duals() performs
-the standard pricing pass: fix every integer variable at its incumbent
-value, relax integrality, re-solve the continuous problem with linprog,
-and read constraint duals off the optimal basis.
+ModelBuilder accumulates variables and sparse linear constraints;
+``assemble()`` turns them into a LinearProgram, the column-wise arrays
+HiGHS takes.  solve() hands a model to scipy.optimize.milp.  The
+continuous solves -- solve_lp() and the pricing pass fix_and_relax_duals(),
+which fixes every integer variable at its incumbent value, relaxes
+integrality and re-solves -- pass the arrays straight to a HiGHS object
+from scipy's vendored bindings and read the primal values and row duals
+back.  A caller that solves many LPs differing only in bounds and
+right-hand sides assembles once and swaps the numbers with
+``LinearProgram.with_numbers``.
 
 Dual sign convention, used everywhere downstream: for a minimization,
 duals of ">= rhs" and "<= rhs" rows are reported nonnegative when binding;
@@ -13,12 +18,16 @@ duals of "= rhs" rows are the signed sensitivity d(objective)/d(rhs).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import Bounds, LinearConstraint
+# linprog is no longer called here; it stays a module attribute because
+# perfbench/tracer.py wraps milp.linprog by name.
+from scipy.optimize import linprog  # noqa: F401
 from scipy.optimize import milp as _scipy_milp
+from scipy.optimize._highspy import _core as _highs
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -43,6 +52,47 @@ class Solution:
     @property
     def optimal(self):
         return self.status == "optimal"
+
+
+@dataclass(eq=False)
+class LinearProgram:
+    """An assembled minimization model, in the arrays HiGHS takes.
+
+    min c'x  s.t.  A x (sense) rhs row by row,  lb <= x <= ub,
+    with ``A`` in CSC form and ``integer`` marking integer columns.
+    """
+
+    c: np.ndarray
+    a: sp.csc_matrix
+    sense: np.ndarray  # per row: LE, GE or EQ
+    rhs: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integer: np.ndarray  # bool per column
+
+    def __post_init__(self):
+        m, n = self.a.shape
+        if self.c.shape != (n,) or self.lb.shape != (n,) or self.ub.shape != (n,):
+            raise ValueError("objective or bounds do not match the matrix columns")
+        if self.rhs.shape != (m,) or self.sense.shape != (m,):
+            raise ValueError("right-hand sides do not match the matrix rows")
+
+    @property
+    def n_vars(self):
+        return self.a.shape[1]
+
+    def row_bounds(self):
+        lo = np.where(self.sense == LE, -np.inf, self.rhs)
+        hi = np.where(self.sense == GE, np.inf, self.rhs)
+        return lo, hi
+
+    def with_numbers(self, rhs=None, lb=None, ub=None):
+        """Same matrix, objective and senses with new right-hand sides/bounds."""
+        return replace(
+            self,
+            rhs=self.rhs if rhs is None else np.asarray(rhs, dtype=float),
+            lb=self.lb if lb is None else np.asarray(lb, dtype=float),
+            ub=self.ub if ub is None else np.asarray(ub, dtype=float))
 
 
 class ModelBuilder:
@@ -143,26 +193,29 @@ class ModelBuilder:
 
     # -- assembly -----------------------------------------------------
 
-    def _matrix(self):
-        if self._n_rows == 0:
-            return sp.csr_matrix((0, self.n_vars))
-        rows = np.concatenate(self._row_i) if self._row_i else np.zeros(0, dtype=np.int64)
-        cols = np.concatenate(self._col_j) if self._col_j else np.zeros(0, dtype=np.int64)
-        vals = np.concatenate(self._vals) if self._vals else np.zeros(0)
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self._n_rows, self.n_vars)).tocsr()
-
-    def _objective(self):
-        c = np.zeros(self.n_vars)
+    def assemble(self):
+        """The model as a LinearProgram (a snapshot: later edits don't show)."""
+        n = self.n_vars
+        if self._row_i:
+            rows = np.concatenate(self._row_i)
+            cols = np.concatenate(self._col_j)
+            vals = np.concatenate(self._vals)
+        else:
+            rows = cols = np.zeros(0, dtype=np.int64)
+            vals = np.zeros(0)
+        a = sp.csc_matrix((vals, (rows, cols)), shape=(self._n_rows, n))
+        c = np.zeros(n)
         for idx, coef in self._obj_chunks:
             np.add.at(c, idx, coef)
-        return c
+        return LinearProgram(
+            c=c, a=a, sense=np.array(self._sense, dtype="<U2"),
+            rhs=np.concatenate(self._rhs) if self._rhs else np.zeros(0),
+            lb=np.array(self._lb, dtype=float), ub=np.array(self._ub, dtype=float),
+            integer=np.array(self._integer, dtype=bool))
 
-    def _row_bounds(self):
-        rhs = np.concatenate(self._rhs) if self._rhs else np.zeros(0)
-        sense = np.array(self._sense)
-        lo = np.where(sense == LE, -np.inf, rhs)
-        hi = np.where(sense == GE, np.inf, rhs)
-        return lo, hi, rhs, sense
+
+def _assembled(model):
+    return model.assemble() if isinstance(model, ModelBuilder) else model
 
 
 def _milp_status(code):
@@ -170,102 +223,111 @@ def _milp_status(code):
 
 
 def solve(model, gap=DEFAULT_GAP, time_limit=None):
-    """Solve the model as a MILP (HiGHS).  Status is reported truthfully."""
-    c = model._objective()
-    a = model._matrix()
-    lo, hi, _, _ = model._row_bounds()
-    constraints = [LinearConstraint(a, lo, hi)] if a.shape[0] else []
+    """Solve a ModelBuilder or LinearProgram as a MILP (HiGHS via scipy).
+
+    Status is reported truthfully.
+    """
+    lp = _assembled(model)
+    lo, hi = lp.row_bounds()
+    constraints = [LinearConstraint(lp.a, lo, hi)] if lp.a.shape[0] else []
     options = {"mip_rel_gap": gap, "presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     try:
         res = _scipy_milp(
-            c=c,
+            c=lp.c,
             constraints=constraints,
-            integrality=np.array(model._integer, dtype=np.uint8),
-            bounds=Bounds(np.array(model._lb), np.array(model._ub)),
+            integrality=lp.integer.astype(np.uint8),
+            bounds=Bounds(lp.lb, lp.ub),
             options=options,
         )
     except Exception as exc:  # pragma: no cover - backend crash path
         raise BackendError(str(exc)) from exc
     status = _milp_status(res.status)
-    x = res.x if res.x is not None else np.full(model.n_vars, np.nan)
+    x = res.x if res.x is not None else np.full(lp.n_vars, np.nan)
     obj = float(res.fun) if res.fun is not None else np.nan
     return Solution(status=status, objective_value=obj, x=x)
 
 
-def _solve_lp_with_duals(model, lb, ub):
-    """Continuous solve via linprog; returns (Solution, dual array per row)."""
-    c = model._objective()
-    a = model._matrix()
-    _, _, rhs, sense = model._row_bounds()
+# The options scipy's linprog(method="highs") passes, so that the direct
+# path walks the same dual simplex; logging off.
+_LP_OPTIONS = (
+    ("output_flag", False), ("log_to_console", False), ("presolve", "on"),
+    ("simplex_strategy",
+     int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual)))
 
-    eq_mask = sense == EQ
-    le_mask = sense == LE
-    ge_mask = sense == GE
-    a_eq = a[np.flatnonzero(eq_mask)]
-    b_eq = rhs[eq_mask]
-    a_ub = sp.vstack([a[np.flatnonzero(le_mask)], -a[np.flatnonzero(ge_mask)]]) \
-        if (le_mask.any() or ge_mask.any()) else sp.csr_matrix((0, model.n_vars))
-    b_ub = np.concatenate([rhs[le_mask], -rhs[ge_mask]])
+_LP_STATUS = {
+    _highs.HighsModelStatus.kOptimal: "optimal",
+    _highs.HighsModelStatus.kTimeLimit: "time_limit",
+    _highs.HighsModelStatus.kIterationLimit: "time_limit",
+    _highs.HighsModelStatus.kInfeasible: "infeasible",
+    _highs.HighsModelStatus.kUnbounded: "unbounded",
+}
 
-    res = linprog(
-        c=c,
-        A_ub=a_ub if a_ub.shape[0] else None,
-        b_ub=b_ub if a_ub.shape[0] else None,
-        A_eq=a_eq if a_eq.shape[0] else None,
-        b_eq=b_eq if a_eq.shape[0] else None,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-    )
-    status = {0: "optimal", 1: "time_limit", 2: "infeasible", 3: "unbounded"}.get(
-        res.status, "failed")
-    duals = np.zeros(len(sense))
-    if status == "optimal":
-        n_le = int(le_mask.sum())
-        if a_eq.shape[0]:
-            duals[eq_mask] = res.eqlin.marginals
-        if a_ub.shape[0]:
-            # HiGHS marginals are d(obj)/d(b_ub); binding rows of a
-            # minimization have nonpositive marginals, so negate to get
-            # conventional nonnegative multipliers for both <= and >=.
-            m = res.ineqlin.marginals
-            duals[le_mask] = -m[:n_le]
-            duals[ge_mask] = -m[n_le:]
-        sol = Solution(status=status, objective_value=float(res.fun), x=res.x)
+
+def _solve_continuous(lp):
+    """One continuous solve of ``lp`` in a fresh HiGHS object, so that no
+    basis carries over from an earlier solve; integrality is ignored.
+
+    Returns (Solution, dual array per row) with the module's sign
+    convention: HiGHS reports row duals as d(objective)/d(bound), which is
+    nonpositive on a binding "<=" row of a minimization, so those are
+    negated; ">=" and "=" rows pass through.
+    """
+    a = lp.a
+    m, n = a.shape
+    lo, hi = lp.row_bounds()
+    h = _highs._Highs()
+    for key, value in _LP_OPTIONS:
+        h.setOptionValue(key, value)
+    passed = h.passModel(
+        n, m, a.nnz, int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, lp.c, lp.lb, lp.ub, lo, hi,
+        a.indptr, a.indices, a.data, np.zeros(n, dtype=np.int32))  # all continuous
+    if passed == _highs.HighsStatus.kError or h.run() == _highs.HighsStatus.kError:
+        status = "failed"
     else:
-        sol = Solution(status=status, objective_value=np.nan,
-                       x=np.full(model.n_vars, np.nan))
+        status = _LP_STATUS.get(h.getModelStatus(), "failed")
+    if status != "optimal":
+        return Solution(status=status, objective_value=np.nan,
+                        x=np.full(n, np.nan)), np.zeros(m)
+    s = h.getSolution()
+    duals = np.array(s.row_dual)
+    duals[lp.sense == LE] *= -1.0
+    sol = Solution(status=status, objective_value=h.getInfo().objective_function_value,
+                   x=np.array(s.col_value))
     return sol, duals
 
 
-def solve_lp(model, marked_constraints=()):
-    """Solve a purely continuous model and return marked-constraint duals."""
-    lb = np.array(model._lb)
-    ub = np.array(model._ub)
-    sol, duals = _solve_lp_with_duals(model, lb, ub)
+def solve_lp(model):
+    """Solve a purely continuous model; returns (Solution, dual per row).
+
+    ``model`` is a ModelBuilder or a LinearProgram; the duals are indexed
+    by constraint handle.
+    """
+    sol, duals = _solve_continuous(_assembled(model))
     if not sol.optimal:
         raise RelaxationInfeasible(f"LP solve ended with status {sol.status}")
-    return sol, {int(h): float(duals[int(h)]) for h in np.asarray(marked_constraints).ravel()}
+    return sol, duals
 
 
-def fix_and_relax_duals(model, milp_solution, marked_constraints=(), rel_tol=1e-5):
+def fix_and_relax_duals(model, milp_solution, rel_tol=1e-5):
     """Pricing pass: freeze integers at their incumbent values, solve the LP.
 
-    Returns (lp_solution, {handle: dual}).  The LP objective must agree
-    with the MILP objective; a large discrepancy or an infeasible LP is
-    raised as RelaxationInfeasible since fixing to a feasible MILP point
-    cannot legitimately cut off the incumbent.
+    Returns (lp_solution, dual per row).  The LP objective must agree with
+    the MILP objective; a large discrepancy or an infeasible LP is raised
+    as RelaxationInfeasible since fixing to a feasible MILP point cannot
+    legitimately cut off the incumbent.  Pass the LinearProgram the MILP
+    was solved from to skip a second assembly.
     """
     if not milp_solution.optimal:
         raise ValueError("fix_and_relax_duals requires an optimal MILP solution")
-    lb = np.array(model._lb, dtype=float)
-    ub = np.array(model._ub, dtype=float)
-    integer = np.array(model._integer)
-    fixed = np.round(milp_solution.x[integer])
-    lb[integer] = fixed
-    ub[integer] = fixed
-    sol, duals = _solve_lp_with_duals(model, lb, ub)
+    lp = _assembled(model)
+    lb, ub = lp.lb.copy(), lp.ub.copy()
+    fixed = np.round(milp_solution.x[lp.integer])
+    lb[lp.integer] = fixed
+    ub[lp.integer] = fixed
+    sol, duals = _solve_continuous(lp.with_numbers(lb=lb, ub=ub))
     if not sol.optimal:
         raise RelaxationInfeasible(f"fixed-integer LP status {sol.status}")
     scale = 1.0 + abs(milp_solution.objective_value)
@@ -274,4 +336,4 @@ def fix_and_relax_duals(model, milp_solution, marked_constraints=(), rel_tol=1e-
             f"LP objective {sol.objective_value} drifted from MILP "
             f"objective {milp_solution.objective_value}"
         )
-    return sol, {int(h): float(duals[int(h)]) for h in np.asarray(marked_constraints).ravel()}
+    return sol, duals

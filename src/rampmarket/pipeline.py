@@ -20,7 +20,7 @@ import numpy as np
 from . import damc as damc_mod
 from . import frp as frp_mod
 from . import settlement as settle_mod
-from .fmm import run_fmm_sequence, K_FMM
+from .fmm import run_fmm_sequence
 from .instance import compute_hourly_bid_demand, instance_to_dict, load_instance
 from .milp import DEFAULT_GAP
 
@@ -162,7 +162,7 @@ def run_experiment(config, use_cache=True):
             model, gap=config.solver_gap, time_limit=config.time_limit)
 
         reports = []
-        lmp_accum = np.zeros(instance.time_grid.hours_count * K_FMM)
+        lmp_accum = np.zeros(instance.time_grid.total_subperiods)
         for i in range(eval_scen.count):
             realization = eval_scen.realizations[i]
             trace = run_fmm_sequence(

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fmm import BINDING, K_FMM
-
 
 class VariantMismatch(Exception):
     pass
@@ -51,7 +49,7 @@ def settle(dam, trace, instance, realization=None):
     """
     if realization is None:
         raise ValueError("realization trajectory is required for settlement")
-    kk = K_FMM
+    kk = instance.time_grid.subperiods_per_hour
     hcount = instance.time_grid.hours_count
     hours = np.arange(hcount * kk) // kk
     if trace.commitment.shape != (instance.n_dgs, hcount * kk) or not np.array_equal(

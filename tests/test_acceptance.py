@@ -14,7 +14,7 @@ import pytest
 from rampmarket import milp
 from rampmarket.damc import (CI95, NF, PROPOSED, WITHOUT, build_damc,
                              solve_and_price)
-from rampmarket.fmm import K_FMM, run_fmm_sequence
+from rampmarket.fmm import run_fmm_sequence
 from rampmarket.frp import (FrpRequirements, SUC_BASED,
                             compute_frp_requirements)
 from rampmarket.instance import (HourlyBidDemand, compute_hourly_bid_demand,
@@ -88,7 +88,7 @@ def _fixed_commitment_lp_objective(instance, isf, d_arr, req, res):
                      (model.w_idx, res.w)):
         fixed = val.ravel().astype(float)
         model.builder.set_var_bounds(idx.ravel(), fixed, fixed)
-    sol, _ = milp.solve_lp(model.builder, ())
+    sol, _ = milp.solve_lp(model.builder)
     return sol.objective_value
 
 
@@ -302,15 +302,16 @@ def test_criterion_8_invariant_spot_checks(tmp_path):
     isf = compute_isf(inst)
     eval_scen = sample_scenarios(inst, 1, 0, OUT_OF_SAMPLE)
     trace = run_fmm_sequence(inst, isf, dam, eval_scen.realizations[0])
-    t_total = 6 * K_FMM
+    kk = inst.time_grid.subperiods_per_hour
+    t_total = 6 * kk
     for gi, g in enumerate(inst.dgs):
         above, uu = trace.p_above[gi], trace.commitment[gi]
         for k in range(1, t_total):
             delta = above[k] - above[k - 1]
-            up_lim = g.ramp_up / K_FMM * uu[k - 1] \
+            up_lim = g.ramp_up / kk * uu[k - 1] \
                 + (g.startup_rate - g.p_min) * (uu[k] > uu[k - 1])
-            dn_lim = g.ramp_down / K_FMM * uu[k - 1] \
-                + (g.shutdown_rate - g.ramp_down / K_FMM - g.p_min) \
+            dn_lim = g.ramp_down / kk * uu[k - 1] \
+                + (g.shutdown_rate - g.ramp_down / kk - g.p_min) \
                 * (uu[k] < uu[k - 1])
             assert delta <= up_lim + 1e-6
             assert -delta <= dn_lim + 1e-6

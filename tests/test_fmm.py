@@ -1,14 +1,18 @@
 """Rolling real-time dispatch: consistency, state carry, and price bounds."""
 
+import json
+import os
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rampmarket.damc import WITHOUT, NF, build_damc, solve_and_price
-from rampmarket.fmm import (BINDING, K_FMM, WINDOW, DimensionMismatch,
-                            run_fmm_sequence)
+from rampmarket.fmm import DimensionMismatch, run_fmm_sequence
 from rampmarket.frp import FrpRequirements, SUC_BASED
 from rampmarket.instance import compute_hourly_bid_demand
-from rampmarket.network import compute_isf
+from rampmarket.network import active_line_indices, compute_isf
 from rampmarket.scenario import sample_scenarios
 
 from conftest import make_dg, make_instance
@@ -54,8 +58,8 @@ def test_trace_shapes_and_run_count(two_node):
     assert trace.dispatch.shape == (2, 96)
     assert trace.lmp.shape == (2, 96)
     for run in trace.runs:
-        assert run.commitment.shape == (2, WINDOW)
-        assert run.binding_subperiods == BINDING
+        assert run.commitment.shape == (2, 8)
+        assert run.binding_subperiods == 4
 
 
 def test_commitment_never_drifts(two_node):
@@ -70,15 +74,16 @@ def test_state_continuity_across_runs(two_node):
     isf, d_hat, dam = _clear(two_node)
     scen = sample_scenarios(two_node, 1, 12)
     trace = run_fmm_sequence(two_node, isf, dam, scen.realizations[0])
+    kk = two_node.time_grid.subperiods_per_hour
     for gi, g in enumerate(two_node.dgs):
         above = trace.p_above[gi]
         u = trace.commitment[gi]
         for k in range(1, 96):
             delta = above[k] - above[k - 1]
-            up_lim = g.ramp_up / K_FMM * u[k - 1] \
+            up_lim = g.ramp_up / kk * u[k - 1] \
                 + (g.startup_rate - g.p_min) * (u[k] > u[k - 1])
-            dn_lim = g.ramp_down / K_FMM * u[k - 1] \
-                + (g.shutdown_rate - g.ramp_down / K_FMM - g.p_min) \
+            dn_lim = g.ramp_down / kk * u[k - 1] \
+                + (g.shutdown_rate - g.ramp_down / kk - g.p_min) \
                 * (u[k] < u[k - 1])
             assert delta <= up_lim + 1e-6
             assert -delta <= dn_lim + 1e-6
@@ -149,3 +154,29 @@ def test_binding_lmps_are_per_hour_duals_scaled(two_node):
     realization = np.repeat(d_hat.d_hat, 4, axis=1)
     trace = run_fmm_sequence(inst, isf, dam, realization)
     assert np.allclose(trace.lmp, 25.0, atol=1e-6)
+
+
+def test_golden_trace_on_congested_ring(ring3):
+    # Dispatch, curtailment and prices recorded from the implementation
+    # that rebuilt the LP for every window.  The stored commitment starts
+    # and shuts down units whose halved ramp rates bind, line ab congests
+    # and load is curtailed, so ramp terms, line rows and nodal prices all
+    # matter; the file's "about" entry says how it was made.
+    path = os.path.join(os.path.dirname(__file__), "data", "fmm_ring3_golden.json")
+    with open(path) as fh:
+        golden = json.load(fh)
+    dgs = [replace(g, ramp_up=g.ramp_up / 2, ramp_down=g.ramp_down / 2)
+           for g in ring3.dgs]
+    dgs[1] = replace(dgs[1], segments=((70.0, 10.0),), no_load_cost=800.0)
+    inst = replace(ring3, dgs=tuple(dgs))
+    dam = SimpleNamespace(**{k: np.array(golden[k]) for k in ("u", "v", "w")})
+    realization = np.array(golden["realization"])
+    isf = compute_isf(inst)
+    assert len(active_line_indices(isf, inst, realization)) > 0
+    trace = run_fmm_sequence(inst, isf, dam, realization)
+    for key in ("dispatch", "curtailment", "lmp"):
+        np.testing.assert_allclose(getattr(trace, key), golden[key],
+                                   rtol=0, atol=1e-8, err_msg=key)
+    # The advisory second hour of each window shows in its objective.
+    np.testing.assert_allclose([run.objective for run in trace.runs],
+                               golden["window_objectives"], rtol=1e-10)

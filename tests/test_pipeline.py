@@ -8,7 +8,8 @@ import pytest
 
 from rampmarket.cli import main
 from rampmarket.damc import CI95, NF, PROPOSED, WITHOUT
-from rampmarket.instance import save_instance
+from rampmarket.instance import (instance_from_dict, instance_to_dict,
+                                 load_instance, save_instance)
 from rampmarket.pipeline import (RunConfig, emit_report, format_table,
                                  run_experiment, solve_suc_stage,
                                  sweep_sample_size)
@@ -209,3 +210,29 @@ def test_cli_bad_instance_exit_code(tmp_path):
     bad.write_text("{}")
     rc = main(["suc", "--instance", str(bad)])
     assert rc == 2
+
+
+def test_run_experiment_on_half_hour_subperiods(tmp_path):
+    # A 6-hour copy of case14 on a 30-minute grid (K=2): the rolling
+    # dispatch windows (2K), binding spans (K) and the settlement follow
+    # the instance's grid.
+    from importlib import resources
+
+    doc = instance_to_dict(load_instance(
+        str(resources.files("rampmarket.data") / "case14.json")))
+    kk, hours = 2, 6
+    k0 = doc["grid"]["subperiods_per_hour"]
+    doc["grid"] = {"subperiods_per_hour": kk, "hours": hours}
+    doc["mean_net_load"] = {
+        node: np.reshape(load[:hours * k0], (hours * kk, -1)).mean(axis=1).tolist()
+        for node, load in doc["mean_net_load"].items()}
+    path = tmp_path / "case14_k2.json"
+    save_instance(instance_from_dict(doc), path)
+    cfg = RunConfig(instance_path=str(path), seed=3, scenarios=1,
+                    eval_scenarios=1, out_dir=str(tmp_path / "out"))
+    report = run_experiment(cfg, use_cache=False)
+    for outcome in report.outcomes.values():
+        assert outcome.avg_lmp_per_subperiod.shape == (hours * kk,)
+        assert np.isfinite(outcome.total_payment)
+        assert abs(outcome.reports[0].congestion_residual) < 1e-6 * max(
+            1.0, abs(outcome.total_payment))
