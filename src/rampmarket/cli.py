@@ -20,14 +20,13 @@ from . import damc as damc_mod
 from . import frp as frp_mod
 from . import milp
 from . import pipeline as pipeline_mod
-from .fmm import InfeasibleFmm, run_fmm_sequence
+from .fmm import InfeasibleFmm
 from .instance import (ParseError, ValidationError, compute_hourly_bid_demand,
                        load_instance)
 from .network import SingularNetworkError, compute_isf
-from .pipeline import (RunConfig, emit_report, run_experiment,
-                       solve_suc_stage, sweep_sample_size)
+from .pipeline import (RunConfig, clear_variant, emit_report, first_pass,
+                       run_experiment, solve_suc_stage, sweep_sample_size)
 from .scenario import IN_SAMPLE, OUT_OF_SAMPLE, sample_scenarios
-from .settlement import aggregate, settle
 from .suc import InfeasibleSuc
 
 VALIDATION_ERRORS = (ParseError, ValidationError, ValueError,
@@ -109,35 +108,19 @@ def cmd_frp(args):
     _write_json(os.path.join(args.out, "frp_requirements.json"), rows)
 
 
-def _solve_dam(args, variant):
+def cmd_damc(args):
     instance = load_instance(args.instance)
-    config = _config(args)
+    config = _config(args, variants=[args.variant])
     isf = compute_isf(instance)
     d_hat = compute_hourly_bid_demand(instance)
-    req = suc_sol = None
-    if variant in (damc_mod.PROPOSED, damc_mod.NF):
-        suc_sol, scen = solve_suc_stage(instance, config, isf)
-        req = frp_mod.compute_frp_requirements(
-            scen, suc_sol, instance.time_grid.subperiods_per_hour)
-    elif variant == damc_mod.CI95:
-        req = frp_mod.compute_ci95_requirements(instance, d_hat)
-    model = damc_mod.build_damc(
-        instance, isf, d_hat, req=req,
-        suc_solution=suc_sol if variant == damc_mod.PROPOSED else None,
-        variant=variant, verbatim_ramp_down=args.verbatim_ramps)
-    dam = damc_mod.solve_and_price(model, gap=args.solver_gap,
-                                   time_limit=args.time_limit)
-    return instance, isf, dam
-
-
-def cmd_damc(args):
-    instance, _, dam = _solve_dam(args, args.variant)
+    suc_sol, requirements = first_pass(instance, isf, d_hat, config)
+    dam = clear_variant(instance, isf, d_hat, args.variant, suc_sol,
+                        requirements, config)
     _write_json(os.path.join(args.out, f"damc_{args.variant}.json"), {
         "variant": dam.variant,
         "objective": dam.objective,
         "hourly_commitment": dam.u.tolist(),
-        "schedule_mw": (dam.p + dam.u * np.array(
-            [g.p_min for g in instance.dgs])[:, None]).tolist(),
+        "schedule_mw": dam.p_total.tolist(),
         "lmp": dam.lmp.tolist(),
         "price_up": dam.price_up.tolist(),
         "price_down": dam.price_down.tolist(),
@@ -147,27 +130,19 @@ def cmd_damc(args):
 
 
 def cmd_evaluate(args):
-    instance, isf, dam = _solve_dam(args, args.variant)
-    scen = sample_scenarios(instance, args.eval_scenarios, args.seed,
-                            OUT_OF_SAMPLE)
-    reports = []
-    for i in range(scen.count):
-        trace = run_fmm_sequence(instance, isf, dam, scen.realizations[i],
-                                 realization_id=i,
-                                 verbatim_ramp_down=args.verbatim_ramps)
-        reports.append(settle(dam, trace, instance, scen.realizations[i]))
-    total_payment, total_curtailment = aggregate(reports)
+    config = _config(args, variants=[args.variant])
+    outcome = run_experiment(config).outcomes[args.variant]
     _write_json(os.path.join(args.out, f"evaluation_{args.variant}.json"), {
         "variant": args.variant,
-        "eval_scenarios": scen.count,
-        "total_payment": total_payment,
-        "total_curtailment_mw": total_curtailment,
+        "eval_scenarios": config.eval_scenarios,
+        "total_payment": outcome.total_payment,
+        "total_curtailment_mw": outcome.total_curtailment,
         "per_realization": [
             {"realization": r.realization_id,
              "consumer_payment": r.consumer_payment,
              "curtailment_mw": r.curtailment_mw,
              "uplift_total": float(r.uplift.sum())}
-            for r in reports
+            for r in outcome.reports
         ],
     })
 

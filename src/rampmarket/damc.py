@@ -69,6 +69,7 @@ class DamResult:
     v: np.ndarray
     w: np.ndarray
     p: np.ndarray  # (G, 24) MW above minimum
+    p_total: np.ndarray  # (G, 24) scheduled MW including minimum load
     ps: np.ndarray
     pc: np.ndarray  # (N, 24)
     r_up: np.ndarray  # (G, 24), zeros for WITHOUT
@@ -79,12 +80,6 @@ class DamResult:
     price_up: np.ndarray  # (24,) $/MWh
     price_down: np.ndarray
     objective: float
-
-    def total_output(self):
-        """Scheduled MW per DG per hour including minimum-load output."""
-        return self.p + self.u * self._p_min[:, None]
-
-    _p_min: np.ndarray = None
 
 
 def _needs(variant, req, suc_solution):
@@ -193,69 +188,61 @@ def build_damc(instance, isf, d_hat, req=None, suc_solution=None, variant=PROPOS
         sh_up = b.add_vars(HOURS)
         sh_dn = b.add_vars(HOURS)
 
+        # Rows per unit and hour, in this order: the award bounds from the
+        # commitment around the hour boundary, then the joint energy/award
+        # capacity of each direction.  Each row is (terms over (G, 24),
+        # next-hour startup coefficient, next-hour shutdown coefficient,
+        # sense, rhs); a zero next-hour coefficient leaves its entry out.
         # Hour-25 boundary policy: the next-hour terms for the last hour
         # reuse hour 24's commitment with no startup or shutdown event.
-        for h in range(HOURS):
-            last = h == HOURS - 1
-            u_n = u[:, h] if last else u[:, h + 1]
-            for gi in range(gcount):
-                v_n = None if last else v[gi, h + 1]
-                w_n = None if last else w[gi, h + 1]
+        u_n = np.concatenate([u[:, 1:], u[:, -1:]], axis=1)
+        one, zero = np.ones(gcount), np.zeros(gcount)
+        specs = [
+            ([(r_up, one), (u_n, -ru)], -(su - ru), zero, milp.LE, zero),
+            ([(r_up, one), (u, rd)], -p_min, -(rd - sd), milp.GE, zero),
+            ([(r_dn, one), (u, -rd)], p_min, -(sd - rd), milp.LE, zero),
+            ([(r_dn, one), (u_n, ru)], -(ru - su), zero, milp.GE, zero),
+        ]
+        for r_var, r_sign in ((r_up, 1.0), (r_dn, -1.0)):
+            specs += [
+                ([(r_var, r_sign * one), (p, one), (u, p_min)],
+                 -(su - p_max), zero, milp.LE, p_max),
+                ([(r_var, r_sign * one), (p, one), (u_n, -p_min)],
+                 zero, zero, milp.GE, -p_min),
+            ]
+        # Entry slots (hour, unit, row, term): the terms, then the next
+        # hour's v and w.
+        slots = 2 + max(len(terms) for terms, *_ in specs)
+        shape = (HOURS, gcount, len(specs), slots)
+        cols = np.zeros(shape, dtype=np.int64)
+        vals = np.zeros(shape)
+        keep = np.zeros(shape, dtype=bool)
+        rhs = np.empty(shape[:3])
+        for k, (terms, vcoef, wcoef, _, lim) in enumerate(specs):
+            for t, (var, coef) in enumerate(terms):
+                cols[:, :, k, t], vals[:, :, k, t], keep[:, :, k, t] = var.T, coef, True
+            for t, var, coef in ((-2, v, vcoef), (-1, w, wcoef)):
+                cols[:-1, :, k, t] = var[:, 1:].T
+                vals[:, :, k, t] = coef
+                keep[:-1, :, k, t] = coef != 0
+            rhs[:, :, k] = lim
+        rows = np.broadcast_to(np.arange(rhs.size).reshape(rhs.shape)[..., None], shape)
+        b.add_constr_block(rows[keep], cols[keep], vals[keep],
+                           [spec[3] for spec in specs] * (HOURS * gcount), rhs.ravel())
 
-                def with_next(cols, vals, vcoef, wcoef):
-                    cols, vals = list(cols), list(vals)
-                    if v_n is not None and vcoef:
-                        cols.append(v_n)
-                        vals.append(vcoef)
-                    if w_n is not None and wcoef:
-                        cols.append(w_n)
-                        vals.append(wcoef)
-                    return cols, vals
-
-                # Award bounds from commitment around the hour boundary.
-                cols, vals = with_next([r_up[gi, h], u_n[gi]], [1.0, -ru[gi]],
-                                       -(su[gi] - ru[gi]), 0.0)
-                b.add_constr(cols, vals, milp.LE, 0.0)
-                cols, vals = with_next([r_up[gi, h], u[gi, h]], [1.0, rd[gi]],
-                                       -p_min[gi], -(rd[gi] - sd[gi]))
-                b.add_constr(cols, vals, milp.GE, 0.0)
-                cols, vals = with_next([r_dn[gi, h], u[gi, h]], [1.0, -rd[gi]],
-                                       p_min[gi], -(sd[gi] - rd[gi]))
-                b.add_constr(cols, vals, milp.LE, 0.0)
-                cols, vals = with_next([r_dn[gi, h], u_n[gi]], [1.0, ru[gi]],
-                                       -(ru[gi] - su[gi]), 0.0)
-                b.add_constr(cols, vals, milp.GE, 0.0)
-
-                # Joint energy/award capacity around the hour boundary.
-                for r_var, r_sign in ((r_up[gi, h], 1.0), (r_dn[gi, h], -1.0)):
-                    cols, vals = with_next(
-                        [r_var, p[gi, h], u[gi, h]], [r_sign, 1.0, p_min[gi]],
-                        -(su[gi] - p_max[gi]), 0.0)
-                    b.add_constr(cols, vals, milp.LE, p_max[gi])
-                    cols, vals = with_next(
-                        [r_var, p[gi, h], u_n[gi]], [r_sign, 1.0, -p_min[gi]],
-                        0.0, 0.0)
-                    b.add_constr(cols, vals, milp.GE, -p_min[gi])
-
-        frp_up_handles = np.empty(HOURS, dtype=np.int64)
-        frp_dn_handles = np.empty(HOURS, dtype=np.int64)
-        for h in range(HOURS):
-            frp_up_handles[h] = b.add_constr(
-                np.append(r_up[:, h], sh_up[h]), np.ones(gcount + 1),
-                milp.GE, req.rho_up[h])
-            frp_dn_handles[h] = b.add_constr(
-                np.append(r_dn[:, h], sh_dn[h]), np.ones(gcount + 1),
-                milp.GE, req.rho_down[h])
+        # Requirement rows, hour by hour: up, then down.
+        frp_handles = _rows(
+            b, [np.stack([r_up.T, r_dn.T], axis=1), np.column_stack([sh_up, sh_dn])],
+            [1.0, 1.0], milp.GE,
+            np.column_stack([req.rho_up, req.rho_down]).ravel()).reshape(HOURS, 2)
+        frp_up_handles, frp_dn_handles = frp_handles[:, 0], frp_handles[:, 1]
         b.add_objective_terms(sh_up, np.full(HOURS, instance.frp_shortfall_penalty))
         b.add_objective_terms(sh_dn, np.full(HOURS, instance.frp_shortfall_penalty))
 
     if variant == PROPOSED:
         kk = instance.time_grid.subperiods_per_hour
         anchor = suc_solution.hourly_commitment(kk)  # (G, 24)
-        for gi in range(gcount):
-            for h in range(HOURS):
-                if anchor[gi, h] > 0.5:
-                    b.set_var_bounds(u[gi, h], 1.0, 1.0)
+        b.set_var_bounds(u[anchor > 0.5], 1.0, 1.0)
 
     alpha_u = np.array([g.no_load_cost for g in instance.dgs])
     alpha_v = np.array([g.startup_cost for g in instance.dgs])
@@ -304,16 +291,17 @@ def solve_and_price(model, gap=milp.DEFAULT_GAP, time_limit=None):
         sh_up = np.zeros(hcount)
         sh_dn = np.zeros(hcount)
 
-    res = DamResult(
+    u = np.round(x[model.u_idx]).astype(int)
+    p = x[model.p_idx]
+    p_min = np.array([g.p_min for g in model.instance.dgs])
+    return DamResult(
         variant=model.variant,
-        u=np.round(x[model.u_idx]).astype(int),
+        u=u,
         v=np.round(x[model.v_idx]).astype(int),
         w=np.round(x[model.w_idx]).astype(int),
-        p=x[model.p_idx], ps=x[model.ps_idx], pc=x[model.pc_idx],
+        p=p, p_total=p + u * p_min[:, None], ps=x[model.ps_idx], pc=x[model.pc_idx],
         r_up=r_up, r_down=r_dn,
         shortfall_up=sh_up, shortfall_down=sh_dn,
         lmp=lmp, price_up=price_up, price_down=price_dn,
         objective=sol.objective_value,
     )
-    res._p_min = np.array([g.p_min for g in model.instance.dgs])
-    return res

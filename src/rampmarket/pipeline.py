@@ -23,6 +23,9 @@ from . import settlement as settle_mod
 from .fmm import run_fmm_sequence
 from .instance import compute_hourly_bid_demand, instance_to_dict, load_instance
 from .milp import DEFAULT_GAP
+from .network import compute_isf
+from .scenario import IN_SAMPLE, OUT_OF_SAMPLE, sample_scenarios
+from .suc import build_suc, solve_suc
 
 #: Relative MIP gap for the stochastic commitment pass.  The extensive-form
 #: problem has a weak LP relaxation (fractional startups), so proving near-zero
@@ -30,9 +33,13 @@ from .milp import DEFAULT_GAP
 #: far earlier; the clearing solves keep the tight default because their duals
 #: feed prices.
 SUC_DEFAULT_GAP = 3e-2
-from .network import compute_isf
-from .scenario import IN_SAMPLE, OUT_OF_SAMPLE, sample_scenarios
-from .suc import build_suc, solve_suc
+
+#: The requirement each design clears against, by source tag; ``without``
+#: procures no ramping product.
+REQUIREMENT_SOURCE = {damc_mod.PROPOSED: frp_mod.SUC_BASED,
+                      damc_mod.NF: frp_mod.SUC_BASED,
+                      damc_mod.CI95: frp_mod.CI95,
+                      damc_mod.WITHOUT: None}
 
 
 class IoError(Exception):
@@ -68,7 +75,7 @@ class VariantOutcome:
     dam: object
     total_payment: float
     total_curtailment: float
-    avg_lmp_per_subperiod: np.ndarray  # (96,), bus average, realization mean
+    avg_lmp_per_subperiod: np.ndarray  # (H*K,), bus average, realization mean
     reports: list
 
 
@@ -127,58 +134,69 @@ def solve_suc_stage(instance, config, isf=None, use_cache=True):
     return sol, scen
 
 
+def first_pass(instance, isf, d_hat, config, use_cache=True):
+    """The stochastic commitment and the requirements the configured designs need.
+
+    Returns (SUC solution or None, {source tag: FrpRequirements}); the
+    stochastic pass runs only for ``proposed`` and ``nf``.
+    """
+    suc_sol = None
+    requirements = {}
+    sources = {REQUIREMENT_SOURCE[v] for v in config.variants}
+    if frp_mod.SUC_BASED in sources:
+        suc_sol, in_scen = solve_suc_stage(instance, config, isf, use_cache)
+        requirements[frp_mod.SUC_BASED] = frp_mod.compute_frp_requirements(
+            in_scen, suc_sol, instance.time_grid.subperiods_per_hour)
+    if frp_mod.CI95 in sources:
+        requirements[frp_mod.CI95] = frp_mod.compute_ci95_requirements(instance, d_hat)
+    return suc_sol, requirements
+
+
+def clear_variant(instance, isf, d_hat, variant, suc_sol, requirements, config):
+    """Clear and price one design: its requirement, anchored for ``proposed``."""
+    model = damc_mod.build_damc(
+        instance, isf, d_hat, req=requirements.get(REQUIREMENT_SOURCE[variant]),
+        suc_solution=suc_sol if variant == damc_mod.PROPOSED else None,
+        variant=variant, verbatim_ramp_down=config.verbatim_ramp_mode)
+    return damc_mod.solve_and_price(
+        model, gap=config.solver_gap, time_limit=config.time_limit)
+
+
+def evaluate_variant(instance, isf, d_hat, dam, eval_scen, config):
+    """Rolling dispatch and settlement of one clearing over every realization."""
+    reports = []
+    lmp_accum = np.zeros(instance.time_grid.total_subperiods)
+    for i in range(eval_scen.count):
+        realization = eval_scen.realizations[i]
+        trace = run_fmm_sequence(
+            instance, isf, dam, realization, realization_id=i,
+            verbatim_ramp_down=config.verbatim_ramp_mode)
+        reports.append(settle_mod.settle(dam, trace, instance, d_hat, realization))
+        lmp_accum += trace.lmp.mean(axis=0)
+    total_payment, total_curtailment = settle_mod.aggregate(reports)
+    return VariantOutcome(
+        variant=dam.variant, dam=dam,
+        total_payment=total_payment,
+        total_curtailment=total_curtailment,
+        avg_lmp_per_subperiod=lmp_accum / eval_scen.count,
+        reports=reports,
+    )
+
+
 def run_experiment(config, use_cache=True):
     """Run the configured variants end to end and assemble the comparison."""
     instance = load_instance(config.instance_path)
     isf = compute_isf(instance)
     d_hat = compute_hourly_bid_demand(instance)
-    kk = instance.time_grid.subperiods_per_hour
-
-    needs_suc = any(v in (damc_mod.PROPOSED, damc_mod.NF) for v in config.variants)
-    suc_sol = None
-    requirements = {}
-    suc_req = None
-    if needs_suc:
-        suc_sol, in_scen = solve_suc_stage(instance, config, isf, use_cache)
-        suc_req = frp_mod.compute_frp_requirements(in_scen, suc_sol, kk)
-        requirements[frp_mod.SUC_BASED] = suc_req
-    ci_req = None
-    if damc_mod.CI95 in config.variants:
-        ci_req = frp_mod.compute_ci95_requirements(instance, d_hat)
-        requirements[frp_mod.CI95] = ci_req
-
+    suc_sol, requirements = first_pass(instance, isf, d_hat, config, use_cache)
     eval_scen = sample_scenarios(
         instance, config.eval_scenarios, config.seed, OUT_OF_SAMPLE)
-
     outcomes = {}
     for variant in config.variants:
-        req = {damc_mod.PROPOSED: suc_req, damc_mod.NF: suc_req,
-               damc_mod.CI95: ci_req, damc_mod.WITHOUT: None}[variant]
-        model = damc_mod.build_damc(
-            instance, isf, d_hat, req=req,
-            suc_solution=suc_sol if variant == damc_mod.PROPOSED else None,
-            variant=variant, verbatim_ramp_down=config.verbatim_ramp_mode)
-        dam = damc_mod.solve_and_price(
-            model, gap=config.solver_gap, time_limit=config.time_limit)
-
-        reports = []
-        lmp_accum = np.zeros(instance.time_grid.total_subperiods)
-        for i in range(eval_scen.count):
-            realization = eval_scen.realizations[i]
-            trace = run_fmm_sequence(
-                instance, isf, dam, realization, realization_id=i,
-                verbatim_ramp_down=config.verbatim_ramp_mode)
-            reports.append(settle_mod.settle(dam, trace, instance, realization))
-            lmp_accum += trace.lmp.mean(axis=0)
-        total_payment, total_curtailment = settle_mod.aggregate(reports)
-        outcomes[variant] = VariantOutcome(
-            variant=variant, dam=dam,
-            total_payment=total_payment,
-            total_curtailment=total_curtailment,
-            avg_lmp_per_subperiod=lmp_accum / eval_scen.count,
-            reports=reports,
-        )
-
+        dam = clear_variant(instance, isf, d_hat, variant, suc_sol, requirements,
+                            config)
+        outcomes[variant] = evaluate_variant(instance, isf, d_hat, dam, eval_scen,
+                                             config)
     return ComparisonReport(
         config=config,
         outcomes=outcomes,

@@ -11,9 +11,9 @@ In-sample and out-of-sample sets live on disjoint purpose codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 IN_SAMPLE = "in_sample"
 OUT_OF_SAMPLE = "out_of_sample"
@@ -69,6 +69,6 @@ def hourly_system_ci(instance, confidence):
     hourly_mean = mean.reshape(instance.n_nodes, hours, kk).mean(axis=2).sum(axis=0)
     var_draws = (np.abs(mean) * instance.sigma_fraction) ** 2
     hourly_var = var_draws.reshape(instance.n_nodes, hours, kk).sum(axis=(0, 2)) / kk**2
-    z = norm.ppf(0.5 * (1.0 + confidence))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + confidence))
     half = z * np.sqrt(hourly_var)
     return hourly_mean - half, hourly_mean + half

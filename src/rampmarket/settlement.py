@@ -41,35 +41,32 @@ class SettlementReport:
     congestion_residual: float  # consumer payments minus producer credits
 
 
-def settle(dam, trace, instance, realization=None):
+def settle(dam, trace, instance, d_hat, realization):
     """Settle one realization's real-time trace against its day-ahead result.
 
-    ``realization`` is the realized nodal net load (N, 96) the trace was
-    dispatched against; it is needed to compute served load.
+    ``d_hat`` is the HourlyBidDemand the clearing was built from, and
+    ``realization`` the realized nodal net load (N, H*K) the trace was
+    dispatched against, from which served load follows.
     """
-    if realization is None:
-        raise ValueError("realization trajectory is required for settlement")
     kk = instance.time_grid.subperiods_per_hour
     hcount = instance.time_grid.hours_count
-    hours = np.arange(hcount * kk) // kk
+    hour_of = np.arange(hcount * kk) // kk  # hour of each subperiod
     if trace.commitment.shape != (instance.n_dgs, hcount * kk) or not np.array_equal(
-            trace.commitment, dam.u[:, hours].astype(float)):
+            trace.commitment, dam.u[:, hour_of].astype(float)):
         raise VariantMismatch("trace commitments do not match the day-ahead result")
     duration = 1.0 / kk
     gcount = instance.n_dgs
     node_of = np.array([instance.node_index(g.node) for g in instance.dgs])
-    hours_of_sub = np.arange(hcount * kk) // kk
 
     # Day-ahead legs (identical across realizations, settled per day).
-    dam_total = dam.p + dam.u * np.array([g.p_min for g in instance.dgs])[:, None]
     lmp_at_g = dam.lmp[node_of]  # (G, 24)
-    da_energy = (lmp_at_g * dam_total).sum(axis=1)
+    da_energy = (lmp_at_g * dam.p_total).sum(axis=1)
     frp_rev = (dam.price_up[None, :] * dam.r_up
                + dam.price_down[None, :] * dam.r_down).sum(axis=1)
 
     # Real-time deviations at binding subperiods.
     rt_lmp_at_g = trace.lmp[node_of]  # (G, 96)
-    deviation = trace.dispatch - dam_total[:, hours_of_sub]
+    deviation = trace.dispatch - dam.p_total[:, hour_of]
     rt_dev = (rt_lmp_at_g * deviation).sum(axis=1) * duration
 
     # Incurred costs: commitment costs at the day-ahead schedule plus the
@@ -97,10 +94,9 @@ def settle(dam, trace, instance, realization=None):
     # Consumer side.
     realization = np.asarray(realization, dtype=float)
     served = realization - trace.curtailment  # (N, 96)
-    d_hat_nodes = _d_hat_from(dam, instance)
-    da_leg = float((dam.lmp * d_hat_nodes).sum())
+    da_leg = float((dam.lmp * d_hat.d_hat).sum())
     rt_leg = float(
-        (trace.lmp * (served - d_hat_nodes[:, hours_of_sub])).sum() * duration)
+        (trace.lmp * (served - d_hat.d_hat[:, hour_of])).sum() * duration)
     consumer = da_leg + rt_leg + uplift.sum()
 
     residual = consumer - (da_energy + frp_rev + rt_dev + uplift).sum()
@@ -119,16 +115,6 @@ def settle(dam, trace, instance, realization=None):
         curtailment_mw=float(trace.curtailment.sum()),
         congestion_residual=float(residual),
     )
-
-
-def _d_hat_from(dam, instance):
-    """Bid-in nodal demand implied by the cleared day-ahead balance."""
-    # The clearing fixes d to d_hat, so the cleared demand *is* the bid-in
-    # demand; recover it from the schedule identity served = d - pc + ...
-    # Instead of re-deriving, recompute from the instance means.
-    from .instance import compute_hourly_bid_demand
-
-    return compute_hourly_bid_demand(instance).d_hat
 
 
 def aggregate(reports):

@@ -57,6 +57,21 @@ def make_instance(nodes, lines, dgs, mean_net_load, k_per_hour=4, hours=24,
     )
 
 
+def small_instance():
+    """Six-hour, single-node system that clears in well under a second."""
+    base = sinusoid_load(6, 4, base=60.0, swing=15.0)
+    dgs = (
+        make_dg(id="g1", node="n1", min_up=1, min_down=1),
+        make_dg(id="g2", node="n1", p_max=60.0, p_min=5.0,
+                segments=((60.0, 22.0),), no_load_cost=100.0,
+                startup_cost=200.0, ramp_up=120.0, ramp_down=120.0,
+                startup_rate=60.0, shutdown_rate=60.0, min_up=1, min_down=1,
+                init_committed=0, init_power_above_min=0.0, init_hours_off=3),
+    )
+    return make_instance(("n1",), (), dgs, base[None, :], hours=6,
+                         sigma_fraction=0.03)
+
+
 @pytest.fixture
 def single_node():
     """One node, two DGs, no network; K=4, full day."""

@@ -1,15 +1,23 @@
 """Day-ahead clearing variants, dual-based prices, and FRP awards."""
 
+import hashlib
+import json
+import os
+from dataclasses import replace
+from importlib import resources
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rampmarket.damc import (CI95, NF, PROPOSED, WITHOUT, MissingInput,
                              build_damc, solve_and_price)
+from rampmarket.frp import CI95 as CI95_SOURCE
 from rampmarket.frp import (compute_ci95_requirements,
                             compute_frp_requirements, FrpRequirements,
                             SUC_BASED)
-from rampmarket.instance import compute_hourly_bid_demand
-from rampmarket.network import compute_isf
+from rampmarket.instance import compute_hourly_bid_demand, load_instance
+from rampmarket.network import active_line_indices, compute_isf
 from rampmarket.scenario import sample_scenarios
 from rampmarket.suc import build_suc, solve_suc
 
@@ -222,7 +230,7 @@ def test_demand_fixed_to_bid(all_variants, staged):
     _, _, d_hat, _, _, _ = staged
     _, out = all_variants
     for res in out.values():
-        scheduled = res.total_output().sum(axis=0) + res.pc.sum(axis=0)
+        scheduled = res.p_total.sum(axis=0) + res.pc.sum(axis=0)
         assert np.allclose(scheduled, d_hat.d_hat.sum(axis=0), atol=1e-6)
 
 
@@ -232,3 +240,74 @@ def test_commitment_logic_consistency(all_variants):
         prev = np.concatenate([[1, 0]])  # init_committed of the two units
         du = np.diff(np.concatenate([prev[:, None], res.u], axis=1), axis=1)
         assert np.array_equal(du, res.v - res.w)
+
+
+# -- assembled clearing model, against digests recorded from the parent ---
+
+LP_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "damc_lp_golden.json")
+
+
+def _ring3_with_equal_rates(ring3):
+    # Unit "peak" starts and stops at its ramp rate and at p_max, with no
+    # minimum output, so every next-hour startup/shutdown coefficient of
+    # the award and joint-capacity rows is zero for it.
+    dgs = list(ring3.dgs)
+    dgs[2] = replace(dgs[2], p_min=0.0, ramp_up=50.0, ramp_down=50.0,
+                     startup_rate=50.0, shutdown_rate=50.0)
+    return replace(ring3, dgs=tuple(dgs))
+
+
+def _case14():
+    return load_instance(str(resources.files("rampmarket.data") / "case14.json"))
+
+
+def _assembled_digests(instance):
+    """Per design: sha256 of every array of the assembled clearing model.
+
+    Requirements and the proposed anchor are fixed patterns, so the
+    digests depend on build_damc alone.
+    """
+    hours = instance.time_grid.hours_count
+    isf = compute_isf(instance)
+    d_hat = compute_hourly_bid_demand(instance)
+    rho_up = 5.0 + np.arange(hours)
+    rho_dn = 30.0 - np.arange(hours)
+    anchor = (np.arange(instance.n_dgs * hours).reshape(-1, hours) % 3 == 0)
+    suc_like = SimpleNamespace(hourly_commitment=lambda kk: anchor.astype(float))
+    inputs = {
+        PROPOSED: (FrpRequirements(rho_up, rho_dn, SUC_BASED), suc_like),
+        NF: (FrpRequirements(rho_up, rho_dn, SUC_BASED), None),
+        CI95: (FrpRequirements(rho_up, rho_dn, CI95_SOURCE), None),
+        WITHOUT: (None, None),
+    }
+    out = {}
+    for variant, (req, suc) in inputs.items():
+        lp = build_damc(instance, isf, d_hat, req=req, suc_solution=suc,
+                        variant=variant).builder.assemble()
+        arrays = {
+            "indptr": lp.a.indptr.astype(np.int64),
+            "indices": lp.a.indices.astype(np.int64),
+            "data": lp.a.data, "rhs": lp.rhs, "lb": lp.lb, "ub": lp.ub,
+            "c": lp.c, "integer": lp.integer.astype(np.uint8),
+        }
+        out[variant] = {k: hashlib.sha256(np.ascontiguousarray(v).tobytes()).hexdigest()
+                        for k, v in arrays.items()}
+        out[variant]["sense"] = hashlib.sha256(
+            ",".join(lp.sense).encode()).hexdigest()
+        out[variant]["shape"] = list(lp.a.shape)
+    return out
+
+
+def test_assembled_clearing_matches_golden(ring3):
+    # Recorded from the implementation that added the award, joint-capacity
+    # and requirement rows one at a time.  Row order, signed zeros and the
+    # omitted zero startup/shutdown coefficients all show in the digests.
+    with open(LP_GOLDEN) as fh:
+        golden = json.load(fh)
+    ring = _ring3_with_equal_rates(ring3)
+    assert len(active_line_indices(compute_isf(ring), ring,
+                                   compute_hourly_bid_demand(ring).d_hat)) > 0
+    for name, instance in (("case14", _case14()), ("ring3_equal_rates", ring)):
+        got = _assembled_digests(instance)
+        for variant in (PROPOSED, NF, CI95, WITHOUT):
+            assert got[variant] == golden[name][variant], (name, variant)

@@ -14,22 +14,7 @@ from rampmarket.pipeline import (RunConfig, emit_report, format_table,
                                  run_experiment, solve_suc_stage,
                                  sweep_sample_size)
 
-from conftest import make_dg, make_instance, sinusoid_load
-
-
-def small_instance():
-    """Six-hour, single-node system that clears in well under a second."""
-    base = sinusoid_load(6, 4, base=60.0, swing=15.0)
-    dgs = (
-        make_dg(id="g1", node="n1", min_up=1, min_down=1),
-        make_dg(id="g2", node="n1", p_max=60.0, p_min=5.0,
-                segments=((60.0, 22.0),), no_load_cost=100.0,
-                startup_cost=200.0, ramp_up=120.0, ramp_down=120.0,
-                startup_rate=60.0, shutdown_rate=60.0, min_up=1, min_down=1,
-                init_committed=0, init_power_above_min=0.0, init_hours_off=3),
-    )
-    return make_instance(("n1",), (), dgs, base[None, :], hours=6,
-                         sigma_fraction=0.03)
+from conftest import small_instance
 
 
 @pytest.fixture
@@ -178,6 +163,37 @@ def test_cli_evaluate_and_settle_alias(inst_path, tmp_path):
     doc = json.load(open(os.path.join(out, "evaluation_without.json")))
     assert doc["eval_scenarios"] == 2
     assert main(["settle", "--variant", "without"] + common) == 0
+
+
+def test_cli_commands_match_run_experiment(inst_path, tmp_path):
+    # damc and evaluate share run_experiment's routing: for every design
+    # their documents carry the same clearing, prices and payments.
+    out = str(tmp_path / "out")
+    common = ["--instance", inst_path, "--out", out, "--scenarios", "3"]
+    report = run_experiment(_config(inst_path, tmp_path))
+    for variant in (PROPOSED, NF, CI95, WITHOUT):
+        assert main(["damc", "--variant", variant] + common) == 0
+        assert main(["evaluate", "--variant", variant, "--eval-scenarios", "2"]
+                    + common) == 0
+        dam = report.outcomes[variant].dam
+        doc = json.load(open(os.path.join(out, f"damc_{variant}.json")))
+        assert doc["objective"] == dam.objective
+        assert doc["hourly_commitment"] == dam.u.tolist()
+        assert doc["schedule_mw"] == dam.p_total.tolist()
+        for key, value in (("lmp", dam.lmp), ("price_up", dam.price_up),
+                           ("price_down", dam.price_down),
+                           ("shortfall_up", dam.shortfall_up),
+                           ("shortfall_down", dam.shortfall_down)):
+            assert doc[key] == value.tolist(), (variant, key)
+        outcome = report.outcomes[variant]
+        doc = json.load(open(os.path.join(out, f"evaluation_{variant}.json")))
+        assert doc["total_payment"] == outcome.total_payment
+        assert doc["total_curtailment_mw"] == outcome.total_curtailment
+        assert doc["per_realization"] == [
+            {"realization": r.realization_id,
+             "consumer_payment": r.consumer_payment,
+             "curtailment_mw": r.curtailment_mw,
+             "uplift_total": float(r.uplift.sum())} for r in outcome.reports]
 
 
 def test_cli_run_emits_reports(inst_path, tmp_path, capsys):

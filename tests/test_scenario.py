@@ -1,5 +1,7 @@
 """Net-load sampling: determinism, counter indexing, and statistics."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,14 @@ def test_ci_worked_example():
     lo, hi = hourly_system_ci(inst, 0.95)
     assert lo[0] == pytest.approx(98.0400, abs=5e-4)
     assert hi[0] == pytest.approx(101.9600, abs=5e-4)
+
+
+def test_ci_quantile_is_normaldist():
+    # Hourly mean 1 MW with unit variance (sigma = 2 MW per draw, four
+    # draws averaged), so 1 - lower is the z quantile itself, exactly.
+    # NormalDist gives 1.9599639845400536, one ulp below scipy's norm.ppf.
+    lo, _ = hourly_system_ci(flat_instance(mean=1.0, sigma=2.0), 0.95)
+    assert 1.0 - lo[0] == NormalDist().inv_cdf(0.975) == 1.9599639845400536
 
 
 def test_ci_width_linear_in_sigma():

@@ -42,17 +42,17 @@ def settled(request):
     dam = solve_and_price(build_damc(inst, isf, d_hat, req=req, variant=NF))
     realization = sample_scenarios(inst, 1, 31, "out_of_sample").realizations[0]
     trace = run_fmm_sequence(inst, isf, dam, realization)
-    report = settle(dam, trace, inst, realization)
-    return inst, dam, trace, realization, report
+    report = settle(dam, trace, inst, d_hat, realization)
+    return inst, d_hat, dam, trace, realization, report
 
 
 def test_uplift_nonnegative(settled):
-    _, _, _, _, report = settled
+    *_, report = settled
     assert np.all(report.uplift >= 0.0)
 
 
 def test_uplift_covers_cost_shortfall(settled):
-    _, _, _, _, report = settled
+    *_, report = settled
     market = (report.da_energy_revenue + report.frp_revenue
               + report.rt_deviation_revenue)
     topped_up = market + report.uplift
@@ -63,7 +63,7 @@ def test_uplift_covers_cost_shortfall(settled):
 
 
 def test_revenue_adequacy_identity(settled):
-    _, _, _, _, report = settled
+    *_, report = settled
     producer_side = (report.da_energy_revenue + report.frp_revenue
                      + report.rt_deviation_revenue + report.uplift).sum()
     assert report.consumer_payment == pytest.approx(
@@ -71,21 +71,21 @@ def test_revenue_adequacy_identity(settled):
 
 
 def test_consumer_payment_composition(settled):
-    _, _, _, _, report = settled
+    *_, report = settled
     assert report.consumer_payment == pytest.approx(
         report.da_consumer_leg + report.rt_consumer_leg
         + report.uplift.sum(), abs=1e-6)
 
 
 def test_settlement_linear_in_prices(settled):
-    inst, dam, trace, realization, base_report = settled
+    inst, d_hat, dam, trace, realization, base_report = settled
     dam2 = copy.deepcopy(dam)
     dam2.lmp = 2.0 * dam2.lmp
     dam2.price_up = 2.0 * dam2.price_up
     dam2.price_down = 2.0 * dam2.price_down
     trace2 = copy.deepcopy(trace)
     trace2.lmp = 2.0 * trace2.lmp
-    doubled = settle(dam2, trace2, inst, realization)
+    doubled = settle(dam2, trace2, inst, d_hat, realization)
     assert np.allclose(doubled.da_energy_revenue,
                        2.0 * base_report.da_energy_revenue, atol=1e-6)
     assert np.allclose(doubled.frp_revenue,
@@ -114,7 +114,7 @@ def test_no_deviation_settlement():
     dam = solve_and_price(build_damc(inst, isf, d_hat, variant=WITHOUT))
     realization = np.repeat(d_hat.d_hat, 4, axis=1)
     trace = run_fmm_sequence(inst, isf, dam, realization)
-    report = settle(dam, trace, inst, realization)
+    report = settle(dam, trace, inst, d_hat, realization)
     assert report.rt_deviation_revenue[0] == pytest.approx(0.0, abs=1e-6)
     assert report.rt_consumer_leg == pytest.approx(0.0, abs=1e-6)
     assert report.consumer_payment == pytest.approx(
@@ -137,7 +137,7 @@ def test_uplift_arithmetic_single_unit():
     dam = solve_and_price(build_damc(inst, isf, d_hat, variant=WITHOUT))
     realization = np.repeat(d_hat.d_hat, 4, axis=1)
     trace = run_fmm_sequence(inst, isf, dam, realization)
-    report = settle(dam, trace, inst, realization)
+    report = settle(dam, trace, inst, d_hat, realization)
     # Price equals its own marginal cost: no margin, no uplift needed.
     assert np.allclose(dam.lmp, 25.0, atol=1e-6)
     assert report.uplift[0] == pytest.approx(0.0, abs=1e-6)
@@ -145,15 +145,15 @@ def test_uplift_arithmetic_single_unit():
 
 
 def test_variant_mismatch_detected(settled):
-    inst, dam, trace, realization, _ = settled
+    inst, d_hat, dam, trace, realization, _ = settled
     other = copy.deepcopy(dam)
     other.u = 1 - other.u
     with pytest.raises(VariantMismatch):
-        settle(other, trace, inst, realization)
+        settle(other, trace, inst, d_hat, realization)
 
 
 def test_aggregate_totals(settled):
-    _, _, _, _, report = settled
+    *_, report = settled
     total_pay, total_curt = aggregate([report] * 5)
     assert total_pay == pytest.approx(5.0 * report.consumer_payment)
     assert total_curt == pytest.approx(5.0 * report.curtailment_mw)
